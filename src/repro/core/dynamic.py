@@ -37,10 +37,18 @@ Flat files are still rebuilt lazily (they are scan structures;
 rebuilding is exactly what a real system's extent map does on append);
 ``data_bounds`` is maintained incrementally and re-derived only when a
 boundary point departs.
+
+The mutators are the validation boundary for inserted data: points
+must be finite and client weights finite and non-negative, checked
+before any state changes.  The sparse ``dr`` kernels of
+:mod:`repro.kernels` equal the dense tile only on such inputs (a NaN
+weight poisons every row of a dense tile, but only the rows within
+reach of a sparse one).
 """
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -55,6 +63,13 @@ from repro.geometry.rect import Rect
 from repro.knnjoin.incremental import DnnMaintainer
 from repro.rtree.mnd_tree import MNDTree
 from repro.rtree.rtree import RTree
+
+
+def _finite_point(point: Point | tuple[float, float], kind: str) -> Point:
+    p = Point(*point)
+    if not (math.isfinite(p.x) and math.isfinite(p.y)):
+        raise ValueError(f"{kind} coordinates must be finite, got {tuple(p)!r}")
+    return p
 
 
 class DynamicWorkspace(Workspace):
@@ -166,9 +181,11 @@ class DynamicWorkspace(Workspace):
         self, point: Point | tuple[float, float], weight: float = 1.0
     ) -> Client:
         """A new client arrives; returns its record (with fresh dnn)."""
-        if weight < 0:
-            raise ValueError("client weights must be non-negative")
-        p = Point(*point)
+        p = _finite_point(point, "client")
+        if not (math.isfinite(weight) and weight >= 0):
+            raise ValueError(
+                f"client weights must be finite and non-negative, got {weight!r}"
+            )
         dnn = self.maintainer.add_client(p)
         client = Client(self._take_client_id(), p[0], p[1], dnn, weight)
         self.clients.append(client)
@@ -238,7 +255,7 @@ class DynamicWorkspace(Workspace):
 
     def add_facility(self, point: Point | tuple[float, float]) -> Site:
         """A facility opens: affected clients' dnn (and NFCs) shrink."""
-        p = Point(*point)
+        p = _finite_point(point, "facility")
         # Materialise the maintainer from the *pre-mutation* facility
         # set before the lists change underneath its lazy constructor.
         maintainer = self.maintainer

@@ -184,10 +184,11 @@ class MaximumNFCDistance(LocationSelector):
                 # distance, and the leaf-level MND of a client is its
                 # dnn — so the paper's line-11 test collapses to the
                 # exact influence test dist < dnn, i.e. the clipped
-                # weighted reduction kernel over the whole page pair.
+                # weighted reduction kernel over the page pair, with
+                # rows out of every client's reach skipped.
                 p_cols = leaf_site_columns(ws.r_p, node_p, cache)
                 c_cols = leaf_client_columns(ws.mnd_tree, node_c, cache)
-                dr[p_cols.ids] += kernels.accumulate_reductions(
+                dr[p_cols.ids] += kernels.leaf_reductions(
                     p_cols.xs,
                     p_cols.ys,
                     c_cols.xs,

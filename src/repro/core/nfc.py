@@ -185,13 +185,14 @@ class NearestFacilityCircle(LocationSelector):
             # attributed to the enclosing descent.  The NFC circles come
             # back reconstructed from their square MBRs (lines 12–13 of
             # Algorithm 4) with the radius in the ``dnn`` column, so the
-            # strict-containment test is the same clipped-reduction
-            # kernel every other method uses.
+            # strict-containment test is the clipped-reduction kernel
+            # every other method uses, here with rows no circle can
+            # reach skipped (``leaf_reductions``; bit-identical).
             with trace.span("nfc.leaf_eval") as sp:
                 sp.count("candidates", len(node_p.entries))
                 p_cols = leaf_site_columns(ws.r_p, node_p, cache)
                 c_cols = nfc_leaf_columns(ws.rnn_tree, node_c, cache)
-                dr[p_cols.ids] += kernels.accumulate_reductions(
+                dr[p_cols.ids] += kernels.leaf_reductions(
                     p_cols.xs,
                     p_cols.ys,
                     c_cols.xs,

@@ -8,10 +8,15 @@ reads the client dataset ``n_p / C_m`` times — the I/O cost
 ``n_p * n_c / C_m^2`` of Table III.
 
 The per-block-pair distance computation goes through
-:func:`repro.kernels.accumulate_reductions` (the columnar batch kernel,
-cross-checked against its scalar twin); this changes constants, not the
-I/O pattern or the asymptotic CPU cost, both of which the paper
-analyses.
+:func:`repro.kernels.scan_reductions`, an exact sparse form of the dense
+tile :func:`~repro.kernels.accumulate_reductions`.  A client reduces
+only the candidates of its reverse-nearest-neighbour set, about
+``n_c / n_f`` of the ``n_p * n_c`` pairs, so the kernel sorts the P block
+by x, takes ``hypot`` only inside each client's x-window
+``[cx - dnn, cx + dnn]`` and recomputes densely only the rare rows with
+three or more hits; the result is bit-identical to the dense tile (see
+the kernel's docstring).  This changes constants, not the I/O pattern
+or the paper's ``n_p * n_c`` pair count of the scan.
 
 The scan decomposes naturally for the execution engine: one task per
 ``(P-block, C-block)`` pair.  The driver charges each potential block
@@ -86,7 +91,7 @@ class SequentialScan(LocationSelector):
             c_block = ws.client_file.read_block(c_id, stats=stats)
             sp.count("client_blocks")
             # (block of P) x (block of C) weighted clipped reductions.
-            acc = kernels.accumulate_reductions(
+            acc = kernels.scan_reductions(
                 px, py, c_block[:, 0], c_block[:, 1], c_block[:, 2], c_block[:, 3]
             )
         return offset, acc

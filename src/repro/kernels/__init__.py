@@ -11,10 +11,17 @@ both costs without moving a single page read:
   mirror the storage codecs byte for byte;
 * :mod:`repro.kernels.vector` — the default backend: one
   ``np.frombuffer`` per page, batch ``dist``/``minDist``/``maxDist``/
-  containment/``IS(p)``/``dr`` kernels over whole pages at once;
+  containment/``IS(p)``/``dr`` kernels over whole pages at once, plus
+  two exact sparse ``dr`` kernels: ``scan_reductions`` (SS; an x-sweep
+  that takes ``hypot`` only inside each client's ``[cx - dnn, cx + dnn]``
+  window) and ``leaf_reductions`` (NFC/MND leaf pairs; a squared-distance
+  prefilter that skips rows no client can reach).  Both return the
+  dense ``accumulate_reductions`` tile bit for bit on finite inputs with
+  non-negative weights; QVC keeps the dense tile;
 * :mod:`repro.kernels.scalar` — the loop-per-record twin kept for
-  cross-checking; property tests and the ``kernels`` bench suite
-  assert **bit-identical** outputs against the vector backend.
+  cross-checking (the sparse kernels map to its dense loop); property
+  tests and the ``kernels`` bench suite assert **bit-identical**
+  outputs against the vector backend.
 
 Every public kernel dispatches through the active backend::
 
@@ -130,6 +137,16 @@ def accumulate_reductions(px, py, cx, cy, dnn, weights):
     return _impl().accumulate_reductions(px, py, cx, cy, dnn, weights)
 
 
+def scan_reductions(px, py, cx, cy, dnn, weights):
+    """:func:`accumulate_reductions` for a sparse tile (SS's x-sweep)."""
+    return _impl().scan_reductions(px, py, cx, cy, dnn, weights)
+
+
+def leaf_reductions(px, py, cx, cy, dnn, weights):
+    """:func:`accumulate_reductions` with out-of-reach rows skipped."""
+    return _impl().leaf_reductions(px, py, cx, cy, dnn, weights)
+
+
 def influence_matrix(px, py, cx, cy, dnn):
     """Boolean ``IS(p)`` membership per (candidate, client) pair."""
     return _impl().influence_matrix(px, py, cx, cy, dnn)
@@ -188,6 +205,7 @@ __all__ = [
     "decode_client_columns",
     "decode_site_columns",
     "influence_matrix",
+    "leaf_reductions",
     "max_dist_points_rect",
     "min_dist_points_rect",
     "min_dist_rects_rect",
@@ -195,6 +213,7 @@ __all__ = [
     "pairwise_min_dist_rects",
     "rect_intersect_matrix",
     "rects_intersect_rect",
+    "scan_reductions",
     "set_backend",
     "use_backend",
 ]

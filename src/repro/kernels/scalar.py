@@ -150,6 +150,12 @@ def accumulate_reductions(
     return out
 
 
+# The vector backend's sparse kernels are exact shortcuts of the dense
+# tile, so the dense loop is their reference as well.
+scan_reductions = accumulate_reductions
+leaf_reductions = accumulate_reductions
+
+
 def influence_matrix(
     px: np.ndarray,
     py: np.ndarray,

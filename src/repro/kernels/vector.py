@@ -22,7 +22,18 @@ the formulas below are chosen for exactness, not just speed:
 * reduction accumulation mirrors the SS scan formula
   (``clip(dnn - d, 0) * w`` summed along axis 1): for a C-contiguous
   row the axis-sum is bitwise equal to summing the row on its own,
-  which is what the scalar twin does.
+  which is what the scalar twin does;
+* the sparse reductions :func:`scan_reductions` (SS) and
+  :func:`leaf_reductions` (NFC/MND leaf pairs) skip pairs and rows whose
+  dense term is provably exactly 0, and either sum a row of at most two
+  nonzero terms (exact in any order) or hand the row to the dense
+  formula, so they return the dense tile's bytes.  That holds for finite
+  coordinates and finite, non-negative weights — the inputs
+  ``DynamicWorkspace`` admits; with a NaN weight the dense tile poisons
+  every row but a sparse kernel only the rows within reach.  The scalar
+  backend maps both to its dense loop.  QVC keeps the dense tile: its
+  window tiles are already pruned to each candidate's cell, and both
+  sparse kernels made QVC slower (0.85x and 0.93x at 100K/2000/400).
 
 None of these kernels touch I/O accounting: they consume arrays that
 the callers obtained through the usual charged ``read_*`` paths.
@@ -140,6 +151,98 @@ def accumulate_reductions(
     """
     d = pairwise_distances(px, py, cx, cy)
     return (np.clip(dnn[None, :] - d, 0.0, None) * weights[None, :]).sum(axis=1)
+
+
+def scan_reductions(
+    px: np.ndarray,
+    py: np.ndarray,
+    cx: np.ndarray,
+    cy: np.ndarray,
+    dnn: np.ndarray,
+    weights: np.ndarray,
+) -> np.ndarray:
+    """:func:`accumulate_reductions` for a sparse tile, via an x-sweep.
+
+    Bit-identical to the dense tile for finite coordinates and finite,
+    non-negative weights.  With the candidates sorted by x, each
+    client's inclusive window ``[cx - dnn, cx + dnn]`` is two
+    ``searchsorted`` calls; a candidate outside it has a (rounded)
+    ``|px - cx|`` of at least ``dnn`` — rounding is monotone and ``dnn``
+    is a float — and ``hypot(dx, dy) >= |dx|``, so its dense term is
+    exactly 0.  Only the window pairs get the dense term formula, from
+    the same ``px - cx`` / ``py - cy`` operands.  A row with at most two
+    nonzero terms sums to ``a + b`` in any order, because adding 0 is
+    exact; a row with three or more is recomputed by the dense formula,
+    keeping numpy's pairwise-sum order.
+    """
+    n_p, n_c = len(px), len(cx)
+    out = np.zeros(n_p, dtype=np.float64)
+    if n_p == 0 or n_c == 0:
+        return out
+    order = np.argsort(px, kind="stable")
+    sorted_x = px[order]
+    lo = np.searchsorted(sorted_x, cx - dnn, side="left")
+    counts = np.searchsorted(sorted_x, cx + dnn, side="right") - lo
+    total = int(counts.sum())
+    # Expand the windows into (candidate row, client) pairs.
+    cols = np.repeat(np.arange(n_c), counts)
+    starts = np.cumsum(counts) - counts
+    rows = order[np.arange(total) + np.repeat(lo - starts, counts)]
+    d = np.hypot(px[rows] - cx[cols], py[rows] - cy[cols])
+    terms = np.clip(dnn[cols] - d, 0.0, None) * weights[cols]
+    hit = terms != 0.0
+    rows = rows[hit]
+    if not len(rows):
+        return out
+    out = np.bincount(rows, weights=terms[hit], minlength=n_p)
+    dense = np.flatnonzero(np.bincount(rows, minlength=n_p) > 2)
+    if len(dense):
+        out[dense] = accumulate_reductions(px[dense], py[dense], cx, cy, dnn, weights)
+    return out
+
+
+#: Relative slack of :func:`leaf_reductions`' squared-distance
+#: prefilter: far above the few ulps of rounding in ``dx*dx + dy*dy``,
+#: ``dnn*dnn`` and ``hypot``.
+_REACH_SLACK = 1.0 + 1e-9
+
+#: Floor of the prefilter's squared reach, inside the normal range so
+#: subnormal squares cannot round a true hit out of it.
+_REACH_FLOOR = 2.0**-1000
+
+
+def leaf_reductions(
+    px: np.ndarray,
+    py: np.ndarray,
+    cx: np.ndarray,
+    cy: np.ndarray,
+    dnn: np.ndarray,
+    weights: np.ndarray,
+) -> np.ndarray:
+    """:func:`accumulate_reductions` with rows out of reach skipped.
+
+    Bit-identical to the dense tile for finite coordinates and finite,
+    non-negative weights.  A row is evaluated (by the dense formula, so
+    its sum order is unchanged) only if some client passes the
+    conservative prefilter ``dx*dx + dy*dy <= max(dnn*dnn * (1 + 1e-9),
+    2**-1000)``; the others contribute exactly 0.  A hit has
+    ``hypot(dx, dy) < dnn``; the rounding of the squares, their sum and
+    ``hypot`` is a few ulps, far inside the slack, and the floor keeps
+    subnormal squares from rounding a hit out.  An overflowing square is
+    ``inf``, which passes only an ``inf`` reach, as it must.  The
+    prefilter costs no ``hypot``, and a false positive costs only time.
+    """
+    n_p = len(px)
+    if n_p == 0 or len(cx) == 0:
+        return np.zeros(n_p, dtype=np.float64)
+    dx = px[:, None] - cx[None, :]
+    dy = py[:, None] - cy[None, :]
+    reach = np.maximum(dnn * dnn * _REACH_SLACK, _REACH_FLOOR)
+    near = np.flatnonzero((dx * dx + dy * dy <= reach[None, :]).any(axis=1))
+    out = np.zeros(n_p, dtype=np.float64)
+    if len(near):
+        out[near] = accumulate_reductions(px[near], py[near], cx, cy, dnn, weights)
+    return out
 
 
 def influence_matrix(

@@ -179,19 +179,50 @@ def encode(message: dict) -> bytes:
     return (json.dumps(message, separators=(",", ":")) + "\n").encode("utf-8")
 
 
+class _NonFiniteNumber(ValueError):
+    """A ``NaN``/``Infinity``/``-Infinity`` literal, which JSON lacks."""
+
+
+def _reject_constant(name: str) -> Any:
+    raise _NonFiniteNumber(name)
+
+
+#: Python's json accepts the three non-finite literals by default; this
+#: decoder refuses them.  Built once: ``json.loads`` with a keyword
+#: argument builds a new decoder on every call.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def _lenient_id(line: str) -> Any:
+    """The ``id`` of a line the strict decoder refused, if it has one."""
+    try:
+        message = json.loads(line)
+    except json.JSONDecodeError:
+        return None
+    return message.get("id") if isinstance(message, dict) else None
+
+
 def decode(line: bytes | str) -> dict:
     """Parse one line into a message dict.
 
     Raises :class:`BadRequestError` on anything that is not a JSON
-    object — the server answers those with a ``bad_request`` error
-    rather than dropping the connection.
+    object, including one that carries ``NaN`` or ``Infinity`` — the
+    server answers those with a ``bad_request`` error (echoing the
+    message's ``id`` when it has one) rather than dropping the
+    connection.
     """
     if isinstance(line, bytes):
         line = line.decode("utf-8", errors="replace")
     try:
-        message = json.loads(line)
+        message = _DECODER.decode(line)
     except json.JSONDecodeError as exc:
         raise BadRequestError(f"request is not valid JSON: {exc}") from None
+    except _NonFiniteNumber as exc:
+        error = BadRequestError(
+            f"request is not valid JSON: {exc} is not a JSON number"
+        )
+        error.request_id = _lenient_id(line)
+        raise error from None
     if not isinstance(message, dict):
         raise BadRequestError("request must be a JSON object")
     return message

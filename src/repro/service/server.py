@@ -390,33 +390,12 @@ class WorkspaceHost:
         action = params.get("action")
         clock = getattr(ws, "region_clock", None)
         before = clock.snapshot() if clock is not None else None
-        if action == "add_client":
-            point = _point_param(params)
-            client = ws.add_client(point, weight=float(params.get("weight", 1.0)))
-            detail: dict[str, Any] = {"cid": client.cid, "dnn": client.dnn}
-        elif action == "remove_client":
-            cid = params.get("cid")
-            matches = [c for c in ws.clients if c.cid == cid]
-            if not matches:
-                raise BadRequestError(f"no client with cid {cid!r}")
-            ws.remove_client(matches[0])
-            detail = {"cid": cid}
-        elif action == "add_facility":
-            point = _point_param(params)
-            site = ws.add_facility(point)
-            detail = {"sid": site.sid}
-        elif action == "remove_facility":
-            sid = params.get("sid")
-            matches = [s for s in ws.facilities if s.sid == sid]
-            if not matches:
-                raise BadRequestError(f"no facility with sid {sid!r}")
-            ws.remove_facility(matches[0])
-            detail = {"sid": sid}
-        else:
-            raise BadRequestError(
-                f"unknown update action {action!r}; expected add_client, "
-                "remove_client, add_facility or remove_facility"
-            )
+        try:
+            detail = _mutate(ws, action, params)
+        except ValueError as exc:
+            # The workspace's mutators validate their inputs before any
+            # state changes, so a refusal leaves the workspace untouched.
+            raise BadRequestError(str(exc)) from None
         detail.update(
             {
                 "action": action,
@@ -535,6 +514,38 @@ class WorkspaceHost:
             self._cache_survived / retained if retained else None
         )
         return info
+
+
+def _mutate(ws: DynamicWorkspace, action: Any, params: dict) -> dict:
+    """Apply one update action; returns its result detail."""
+    if action == "add_client":
+        point = _point_param(params)
+        client = ws.add_client(point, weight=float(params.get("weight", 1.0)))
+        detail: dict[str, Any] = {"cid": client.cid, "dnn": client.dnn}
+    elif action == "remove_client":
+        cid = params.get("cid")
+        matches = [c for c in ws.clients if c.cid == cid]
+        if not matches:
+            raise BadRequestError(f"no client with cid {cid!r}")
+        ws.remove_client(matches[0])
+        detail = {"cid": cid}
+    elif action == "add_facility":
+        point = _point_param(params)
+        site = ws.add_facility(point)
+        detail = {"sid": site.sid}
+    elif action == "remove_facility":
+        sid = params.get("sid")
+        matches = [s for s in ws.facilities if s.sid == sid]
+        if not matches:
+            raise BadRequestError(f"no facility with sid {sid!r}")
+        ws.remove_facility(matches[0])
+        detail = {"sid": sid}
+    else:
+        raise BadRequestError(
+            f"unknown update action {action!r}; expected add_client, "
+            "remove_client, add_facility or remove_facility"
+        )
+    return detail
 
 
 def _point_param(params: dict) -> tuple[float, float]:
@@ -670,6 +681,7 @@ class QueryService:
             request_id = message.get("id")
             response = await self.handle_request(message)
         except ServiceError as exc:
+            request_id = getattr(exc, "request_id", request_id)
             response = error_response(request_id, exc)
             trace_id = getattr(exc, "trace_id", None)
             if trace_id is not None:

@@ -1,11 +1,13 @@
 """Tests for dynamic workspace updates (the Section VI motivation)."""
 
+import math
 import random
 
 import numpy as np
 import pytest
 
 from repro.core import METHODS, make_selector
+from repro.churn import verify_parity
 from repro.core import naive
 from repro.core.dynamic import DynamicWorkspace
 from repro.datasets.generators import make_instance
@@ -113,6 +115,39 @@ class TestFacilityUpdates:
         after = [c.dnn for c in ws.clients]
         assert after == pytest.approx(before, abs=1e-9)
         assert_consistent(ws)
+
+
+class TestInputValidation:
+    """Mutators refuse non-finite data before any state changes."""
+
+    NON_FINITE = [math.nan, math.inf, -math.inf]
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_add_client_rejects_non_finite_coordinates(self, bad):
+        ws = fresh_ws()
+        __ = ws.r_c, ws.rnn_tree, ws.mnd_tree
+        for point in [(bad, 5.0), (5.0, bad)]:
+            with pytest.raises(ValueError, match="finite"):
+                ws.add_client(point)
+        verify_parity(ws)
+
+    @pytest.mark.parametrize("bad", NON_FINITE + [-1.0])
+    def test_add_client_rejects_bad_weights(self, bad):
+        ws = fresh_ws()
+        __ = ws.r_c, ws.rnn_tree, ws.mnd_tree
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            ws.add_client(Point(5.0, 5.0), weight=bad)
+        verify_parity(ws)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_add_facility_rejects_non_finite_coordinates(self, bad):
+        ws = fresh_ws()
+        __ = ws.r_f, ws.rnn_tree, ws.mnd_tree
+        n_f = ws.n_f
+        with pytest.raises(ValueError, match="finite"):
+            ws.add_facility((bad, 5.0))
+        assert ws.n_f == n_f
+        verify_parity(ws)
 
 
 class TestUpdateStorms:

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from repro import kernels
-from repro.core import make_selector
+from repro.core import Workspace, make_selector
 from repro.core.diskmode import DiskWorkspace, persist_indexes
 from repro.core.mnd import MaximumNFCDistance
+from repro.datasets.generators import make_instance
 from repro.experiments.smoke import SMOKE_METHODS
 
 
@@ -44,6 +45,31 @@ def assert_exact_parity(ws, method):
 @pytest.mark.parametrize("method", SMOKE_METHODS)
 def test_select_is_backend_invariant(small_workspace, method):
     assert_exact_parity(small_workspace, method)
+
+
+@pytest.fixture(scope="module")
+def dense_hit_workspace():
+    """Few facilities, so every client reaches far: most rows of an SS
+    tile have three or more hits and take the sparse kernel's dense
+    fallback, and most NFC/MND leaf rows pass the prefilter."""
+    return Workspace(make_instance(n_c=2000, n_f=20, n_p=200, rng=12))
+
+
+@pytest.mark.parametrize("method", SMOKE_METHODS)
+def test_dense_hit_select_is_backend_invariant(dense_hit_workspace, method):
+    assert_exact_parity(dense_hit_workspace, method)
+
+
+def test_dense_hit_tiles_take_the_fallback(dense_hit_workspace):
+    """The instance really is the dense-hit shape the test above is for."""
+    ws = dense_hit_workspace
+    p_block = ws.potential_file.peek_block(0)
+    c_block = ws.client_file.peek_block(0)
+    d = kernels.pairwise_distances(
+        p_block[:, 0], p_block[:, 1], c_block[:, 0], c_block[:, 1]
+    )
+    hits = np.count_nonzero(d < c_block[None, :, 2], axis=1)
+    assert np.mean(hits >= 3) > 0.5
 
 
 def test_influence_sets_are_backend_invariant(small_workspace):

@@ -219,3 +219,146 @@ class TestBackendEquivalence:
         got_s = scalar.circle_columns_from_rects(batch, cids, w)
         for field in ("ids", "xs", "ys", "dnn", "weights"):
             assert np.array_equal(getattr(got_v, field), getattr(got_s, field))
+
+
+# ---------------------------------------------------------------------------
+# Sparse dr kernels: bit-identical to the dense tile
+# ---------------------------------------------------------------------------
+
+SPARSE_KERNELS = ("scan_reductions", "leaf_reductions")
+
+#: A small integer lattice: exact ``dist == dnn`` ties are common (axis
+#: offsets, 3-4-5 triangles) and so are duplicate x coordinates.
+lattice = st.integers(min_value=-6, max_value=6).map(float)
+lattice_radii = st.integers(min_value=0, max_value=8).map(float)
+lattice_weights = st.sampled_from([0.0, 0.1, 0.5, 1.0, 3.0])
+
+
+@st.composite
+def tiles(draw, coord, radius, weight, max_p=12, max_c=40):
+    """One (candidates × clients) tile; either side may be empty."""
+    n_p = draw(st.integers(min_value=0, max_value=max_p))
+    n_c = draw(st.integers(min_value=0, max_value=max_c))
+
+    def column(n, elements):
+        values = draw(st.lists(elements, min_size=n, max_size=n))
+        return np.array(values, dtype=np.float64)
+
+    return (
+        column(n_p, coord),
+        column(n_p, coord),
+        column(n_c, coord),
+        column(n_c, coord),
+        column(n_c, radius),
+        column(n_c, weight),
+    )
+
+
+def assert_sparse_equals_dense(px, py, cx, cy, dnn, w):
+    """Both sparse kernels return the dense tile's bytes exactly."""
+    want = vector.accumulate_reductions(px, py, cx, cy, dnn, w)
+    for name in SPARSE_KERNELS:
+        got = getattr(vector, name)(px, py, cx, cy, dnn, w)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    return want
+
+
+def hits_per_row(px, py, cx, cy, dnn, w):
+    terms = np.clip(dnn[None, :] - vector.pairwise_distances(px, py, cx, cy), 0, None)
+    return np.count_nonzero(terms * w[None, :], axis=1)
+
+
+class TestSparseReductions:
+    @given(tile=tiles(lattice, lattice_radii, lattice_weights))
+    @settings(max_examples=200)
+    def test_lattice_tiles_with_exact_ties(self, tile):
+        assert_sparse_equals_dense(*tile)
+
+    @given(tile=tiles(coords, st.floats(0.0, 400.0), weights))
+    @settings(max_examples=150)
+    def test_float_tiles(self, tile):
+        assert_sparse_equals_dense(*tile)
+        # Under the scalar backend both sparse kernels are the dense loop.
+        for name in SPARSE_KERNELS:
+            assert_backends_bitwise_equal(name, *tile)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 7, 8, 9, 17, 40])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_with_k_hits(self, k, seed):
+        """Row 0 has exactly ``k`` hits among 48 clients; the others
+        sit far away.  Float weights make the sum order observable, so
+        rows of 3+ hits must take numpy's pairwise (8-accumulator) path
+        exactly as the dense tile does."""
+        rng = np.random.default_rng(seed)
+        n_c = 48
+        angle = rng.uniform(0, 2 * np.pi, n_c)
+        r = np.where(np.arange(n_c) < k, rng.uniform(0, 5, n_c), 50.0)
+        cx, cy = r * np.cos(angle), r * np.sin(angle)
+        dnn = np.where(np.arange(n_c) < k, r + rng.uniform(0.1, 9, n_c), 10.0)
+        w = rng.uniform(0.01, 5, n_c)
+        perm = rng.permutation(n_c)
+        cx, cy, dnn, w = cx[perm], cy[perm], dnn[perm], w[perm]
+        px = np.array([0.0, 500.0, 0.0, -500.0])
+        py = np.array([0.0, 0.0, 500.0, 0.0])
+        assert_sparse_equals_dense(px, py, cx, cy, dnn, w)
+        assert list(hits_per_row(px, py, cx, cy, dnn, w)) == [k, 0, 0, 0]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_hits_one_ulp_inside_the_filters_are_kept(self, seed):
+        """Boundary hits that a filter without its rounding argument
+        would drop: a candidate at ``fl(cx ± dnn)`` whose rounded
+        ``|px - cx|`` is still below ``dnn`` (the window must be
+        inclusive), and a client whose ``dnn`` exceeds the distance by
+        one ulp while ``dx*dx + dy*dy >= dnn*dnn`` (the prefilter needs
+        its slack)."""
+        rng = np.random.default_rng(seed)
+        window_hits = prefilter_hits = 0
+        for __ in range(200):
+            cx, cy = rng.uniform(-100, 1100, (2, 1))
+            dnn = rng.uniform(0, 50, 1)
+            px = np.array([cx[0] + dnn[0], cx[0] - dnn[0]])
+            py = np.array([cy[0], cy[0]])
+            acc = assert_sparse_equals_dense(px, py, cx, cy, dnn, np.ones(1))
+            window_hits += int(np.count_nonzero(acc))
+
+            px, py = rng.uniform(-100, 1100, (2, 1))
+            d = np.hypot(px - cx, py - cy)
+            dnn = np.nextafter(d, np.inf)
+            acc = assert_sparse_equals_dense(px, py, cx, cy, dnn, np.ones(1))
+            assert acc[0] > 0
+            if (px - cx) ** 2 + (py - cy) ** 2 >= dnn * dnn:
+                prefilter_hits += 1
+        assert window_hits > 0 and prefilter_hits > 0
+
+    def test_duplicate_x_candidates(self):
+        """Stable-sort ties: every candidate shares one x."""
+        rng = np.random.default_rng(7)
+        px = np.full(30, 3.0)
+        py = rng.uniform(-20, 20, 30)
+        cx = rng.uniform(-5, 10, 50)
+        cy = rng.uniform(-20, 20, 50)
+        dnn = rng.uniform(0, 8, 50)
+        w = rng.uniform(0, 2, 50)
+        acc = assert_sparse_equals_dense(px, py, cx, cy, dnn, w)
+        assert (hits_per_row(px, py, cx, cy, dnn, w) >= 3).any()
+        assert (acc > 0).any()
+
+    @pytest.mark.parametrize("n_p, n_c", [(0, 0), (0, 5), (5, 0)])
+    def test_empty_sides(self, n_p, n_c):
+        rng = np.random.default_rng(n_p + n_c)
+        p = rng.uniform(0, 10, (2, n_p))
+        c = rng.uniform(0, 10, (4, n_c))
+        acc = assert_sparse_equals_dense(p[0], p[1], *c)
+        assert acc.shape == (n_p,)
+
+    def test_zero_radii_and_zero_weights(self):
+        """``dist < 0`` never holds and a zero weight adds nothing: the
+        result is all zeros, with the dense tile's sign bits."""
+        rng = np.random.default_rng(3)
+        px, py = rng.integers(0, 4, (2, 20)).astype(float)
+        cx, cy = rng.integers(0, 4, (2, 30)).astype(float)
+        zero = np.zeros(30)
+        for dnn, w in ((zero, np.ones(30)), (np.full(30, 2.0), zero), (zero, zero)):
+            acc = assert_sparse_equals_dense(px, py, cx, cy, dnn, w)
+            assert not acc.any()

@@ -52,6 +52,18 @@ class TestFraming:
         with pytest.raises(BadRequestError, match="JSON object"):
             decode(b"[1, 2, 3]")
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_decode_rejects_non_finite_constants(self, constant):
+        line = f'{{"id": 9, "op": "update", "weight": {constant}}}'
+        with pytest.raises(BadRequestError, match=constant) as info:
+            decode(line)
+        assert info.value.request_id == 9  # echoed on the error response
+
+    def test_decode_rejects_non_finite_constants_in_broken_lines(self):
+        with pytest.raises(BadRequestError, match="NaN") as info:
+            decode(b'{"id": 9, "weight": NaN, }')
+        assert info.value.request_id is None
+
     def test_known_surface(self):
         assert PROTOCOL_VERSION == 1
         assert "select" in OPERATIONS and "health" in OPERATIONS

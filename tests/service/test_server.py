@@ -10,15 +10,20 @@ cached result.
 
 from __future__ import annotations
 
+import json
+import math
+import socket
 import threading
 
 import pytest
 
+from repro.churn import verify_parity
 from repro.core import METHODS, Workspace, make_selector
 from repro.core.dynamic import DynamicWorkspace
 from repro.core.evaluate import evaluate_location
 from repro.datasets.generators import make_instance
 from repro.service import (
+    BadRequestError,
     DeadlineExceededError,
     QueueFullError,
     ServiceClient,
@@ -150,6 +155,61 @@ class TestCacheInvalidation:
     def test_update_rejected_on_static_workspaces(self, client):
         with pytest.raises(UnsupportedError, match="static"):
             client.update("add_facility", workspace="static", point=[1.0, 2.0])
+
+
+class TestHostileUpdates:
+    """Non-finite or negative update data gets a typed ``bad_request``
+    and leaves the served workspace exactly as it was."""
+
+    #: Raw lines the stock client cannot produce: ``1e400`` is valid
+    #: JSON that parses to infinity, so it gets past the wire decoder
+    #: and must be refused by the workspace's own validation.
+    RAW_LINES = [
+        b'{"id":1,"op":"update","workspace":"dyn","action":"add_client",'
+        b'"point":[1.0,2.0],"weight":1e400}',
+        b'{"id":2,"op":"update","workspace":"dyn","action":"add_client",'
+        b'"point":[-1e400,2.0]}',
+        b'{"id":3,"op":"update","workspace":"dyn","action":"add_facility",'
+        b'"point":[1.0,1e400]}',
+        b'{"id":4,"op":"update","workspace":"dyn","action":"add_client",'
+        b'"point":[1.0,2.0],"weight":NaN}',
+    ]
+
+    def test_rejected_updates_leave_answers_and_state_untouched(self):
+        ws = DynamicWorkspace(make_instance(rng=SEED, **SIZES))
+        handle = serve_in_thread({"dyn": ws}, ServiceConfig(workers=1))
+        with handle, ServiceClient(handle.host, handle.port) as client:
+
+            def answers():
+                return {
+                    m: fingerprint(
+                        client.select(m, workspace="dyn", no_cache=True).result
+                    )
+                    for m in sorted(METHODS)
+                }
+
+            before = answers()
+            with pytest.raises(BadRequestError, match="NaN"):
+                client.update(
+                    "add_client", workspace="dyn", point=[1.0, 2.0], weight=math.nan
+                )
+            with pytest.raises(BadRequestError, match="non-negative"):
+                client.update(
+                    "add_client", workspace="dyn", point=[1.0, 2.0], weight=-1.0
+                )
+            with (
+                socket.create_connection((handle.host, handle.port)) as sock,
+                sock.makefile("rwb") as stream,
+            ):
+                for line in self.RAW_LINES:
+                    stream.write(line + b"\n")
+                    stream.flush()
+                    reply = json.loads(stream.readline())
+                    assert reply["id"] == json.loads(line.replace(b"NaN", b"0"))["id"]
+                    assert not reply["ok"]
+                    assert reply["error"]["code"] == "bad_request", reply
+            assert answers() == before
+        verify_parity(ws)
 
 
 class TestTypedRejections:
